@@ -65,17 +65,20 @@ class Broker:
         Per-topic FIFO is preserved: deliveries are scheduled through the
         event queue, whose ordering is deterministic for equal timestamps.
         """
-        self.published_counts[name] = self.published_counts.get(name, 0) + 1
-        store = self.topic(name)
+        counts = self.published_counts
+        counts[name] = counts.get(name, 0) + 1
+        store = self._topics.get(name)
+        if store is None:
+            store = self.topic(name)
         if self.publish_latency == 0:
             store.put(message)
             return
+        self.env.process(self._deliver(store, message))
 
-        def deliver():
-            yield self.env.timeout(self.publish_latency)
-            store.put(message)
-
-        self.env.process(deliver())
+    def _deliver(self, store: Store, message: Any):
+        """One delayed delivery (process generator)."""
+        yield self.env.timeout(self.publish_latency)
+        store.put(message)
 
     def peek_depth(self, name: str) -> int:
         """Queued message count without creating the topic.

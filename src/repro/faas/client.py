@@ -35,19 +35,20 @@ class FaaSClient:
         interruptible: bool = True,
         cluster: Optional[str] = None,
     ):
-        """Blocking invocation (generator).
+        """Blocking invocation: the controller's process generator.
 
         ``cluster`` is an optional federation-member placement
-        preference (see :meth:`Controller.choose_invoker`).
+        preference (see :meth:`Controller.choose_invoker`).  The
+        controller's generator is handed out as is, so driving it costs
+        no extra delegation frame per resume.
         """
-        result = yield from self.controller.invoke(
+        return self.controller.invoke(
             function,
             params=params,
             duration=duration,
             interruptible=interruptible,
             cluster=cluster,
         )
-        return result
 
 
 class CommercialCloud:

@@ -68,12 +68,15 @@ class ContainerPool:
 
     def warm_for(self, function: str) -> Optional[Container]:
         """An idle warm container for *function*, most recently used first."""
-        candidates = [
-            c for c in self._containers if not c.busy and c.function == function
-        ]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda c: c.last_used)
+        # One pass; strict ">" keeps the first of equally recent
+        # containers, the tie-break max(key=last_used) has.
+        best = None
+        for container in self._containers:
+            if not container.busy and container.function == function and (
+                best is None or container.last_used > best.last_used
+            ):
+                best = container
+        return best
 
     # ------------------------------------------------------------------
     def acquire(self, function: FunctionDef):

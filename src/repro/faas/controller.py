@@ -111,6 +111,8 @@ class Controller:
         self._healthy_pools: Dict[str, List[str]] = {}
         self._healthy_all: List[str] = []
         self._healthy_view: Optional[Dict[str, List[str]]] = None
+        #: invoker id -> its topic name (built once per invoker, not per call)
+        self._topic_names: Dict[str, str] = {}
         #: in-flight activation count per member cluster ("" = unfederated)
         self._inflight_by_cluster: Dict[str, int] = {}
         self._pending: Dict[str, Tuple[Event, ActivationRecord]] = {}
@@ -191,7 +193,10 @@ class Controller:
         self._healthy_view = None
 
     def invoker_topic(self, invoker_id: str) -> str:
-        return f"invoker-{invoker_id}"
+        name = self._topic_names.get(invoker_id)
+        if name is None:
+            name = self._topic_names[invoker_id] = f"invoker-{invoker_id}"
+        return name
 
     def snapshot(self) -> Dict[str, Any]:
         """A pure-read state summary (the live-mode health endpoint).
@@ -262,8 +267,10 @@ class Controller:
         member has healthy invokers; an empty preferred pool falls back
         to the normal path rather than 503ing.
         """
+        # The balancers only read the healthy lists, so they get the
+        # incrementally-maintained pools themselves, not copies.
         if cluster is not None:
-            preferred = self.healthy_invokers(cluster=cluster)
+            preferred = self._healthy_pools.get(cluster)
             if preferred:
                 return self.load_balancer.choose(function, preferred, self.broker)
         if self.router is not None:
@@ -272,7 +279,7 @@ class Controller:
             if cluster is None:
                 return None
             return self.load_balancer.choose(function, pools[cluster], self.broker)
-        return self.load_balancer.choose(function, self.healthy_invokers(), self.broker)
+        return self.load_balancer.choose(function, self._healthy_all, self.broker)
 
     def invoke(
         self,
@@ -335,16 +342,17 @@ class Controller:
             invoker_id=target,
             cluster_id=target_cluster,
         )
-        if self.config.record_history:
+        config = self.config
+        if config.record_history:
             self.records.append(record)
         done = env.event()
         self._pending_add(done, record)
         self.broker.publish(self.invoker_topic(target), message)
 
-        deadline = env.timeout(self.config.activation_timeout)
+        deadline = env.timeout(config.activation_timeout)
         yield AnyOf(env, [done, deadline])
         if done._processed:
-            completion: CompletionMessage = done.value
+            completion: CompletionMessage = done._value
             status = (
                 ActivationStatus.SUCCESS if completion.success else ActivationStatus.FAILED
             )
@@ -485,6 +493,6 @@ class Controller:
                             env.now,
                             "invoker_lost",
                             record.invoker_id,
-                            {"stranded": self.broker.depth(self.invoker_topic(record.invoker_id))},
+                            {"stranded": self.broker.peek_depth(self.invoker_topic(record.invoker_id))},
                         )
                     )

@@ -32,7 +32,7 @@ from repro.faas.containers import ContainerPool
 from repro.faas.functions import FunctionRegistry
 from repro.faas.messages import ActivationMessage, CompletionMessage, PingMessage
 from repro.faas.runtime import ContainerRuntime, SingularityRuntime
-from repro.sim import Environment, Interrupt, Process
+from repro.sim import Environment, Interrupt, Process, Store
 
 
 @dataclass
@@ -107,6 +107,14 @@ class Invoker:
         self._ping_proc: Optional[Process] = None
         #: messages rescued from an interrupted pull (drain handles them)
         self._orphans: List[ActivationMessage] = []
+        #: the topic stores _pull waits on, fast lane first; looked up at
+        #: the first pull, which is when those topics come into being
+        self._pull_stores: Optional[List[Store]] = None
+        #: log-median of the per-activation system overhead
+        self._log_overhead = (
+            math.log(self.config.system_overhead)
+            if self.config.system_overhead > 0 else 0.0
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -289,10 +297,13 @@ class Invoker:
         popped a message, that message is stashed in ``_orphans`` so the
         drain republishes it instead of losing it.
         """
-        getters = []
-        if self.config.use_fast_lane:
-            getters.append(self.broker.topic(FASTLANE_TOPIC).get())
-        getters.append(self.broker.topic(self.topic).get())
+        stores = self._pull_stores
+        if stores is None:
+            stores = self._pull_stores = []
+            if self.config.use_fast_lane:
+                stores.append(self.broker.topic(FASTLANE_TOPIC))
+            stores.append(self.broker.topic(self.topic))
+        getters = [store.get() for store in stores]
         try:
             yield self.env.any_of(getters)
         except Interrupt:
@@ -374,9 +385,7 @@ class Invoker:
         cfg = self.config
         if cfg.system_overhead <= 0:
             return 0.0
-        return float(
-            self.rng.lognormal(math.log(cfg.system_overhead), cfg.overhead_sigma)
-        )
+        return float(self.rng.lognormal(self._log_overhead, cfg.overhead_sigma))
 
     def _complete(
         self,

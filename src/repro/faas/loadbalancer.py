@@ -80,4 +80,6 @@ class LeastLoaded(LoadBalancer):
     def choose(self, function: str, healthy: List[str], broker: "Broker") -> Optional[str]:
         if not healthy:
             return None
-        return min(healthy, key=lambda i: (broker.depth(f"invoker-{i}"), i))
+        # peek_depth: asking about a topic nobody published to must not
+        # create it (routing is an observation of the broker)
+        return min(healthy, key=lambda i: (broker.peek_depth(f"invoker-{i}"), i))

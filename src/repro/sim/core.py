@@ -318,30 +318,6 @@ class Environment:
             return event
         return Event(self)
 
-    def _init_event(self, callback: Any) -> Event:
-        """Pooled, pre-succeeded, URGENT-scheduled event in one step.
-
-        The process-bootstrap shape (`Process.__init__` is the only
-        caller): equivalent to ``event()`` + mark succeeded + schedule
-        URGENT, without the intermediate resets those steps redo.
-        """
-        pool = self._event_pool
-        if pool:
-            event = pool.pop()
-            self.events_reused += 1
-        else:
-            event = Event.__new__(Event)
-            event.env = self
-        event.callbacks = [callback]
-        event._value = None
-        event._ok = True
-        event._processed = False
-        event._queued = True
-        event.defused = False
-        self._eid += 1
-        self._push((self._now, 0, self._eid, event))
-        return event
-
     def timeout(self, delay: SimTime, value: Any = None) -> Timeout:
         pool = self._timeout_pool
         if pool:

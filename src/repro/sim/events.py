@@ -199,16 +199,16 @@ class Condition(Event):
                 break
 
     def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            if event.failed:
+        if self._value is not _PENDING:
+            if event._ok is False:
                 event.defused = True
             return
-        if event.failed:
+        if event._ok is False:
             event.defused = True
             self.fail(event._value)
             return
-        self._count += 1
-        if self._count >= self._needed:
+        count = self._count = self._count + 1
+        if count >= self._needed:
             self.succeed(self._collect())
 
     def _collect(self) -> dict[Event, Any]:
@@ -226,7 +226,7 @@ class AllOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: list[Event]) -> None:
-        super().__init__(env, events, needed=len(events))
+        Condition.__init__(self, env, events, len(events))
 
 
 class AnyOf(Condition):
@@ -235,4 +235,4 @@ class AnyOf(Condition):
     __slots__ = ()
 
     def __init__(self, env: "Environment", events: list[Event]) -> None:
-        super().__init__(env, events, needed=1 if events else 0)
+        Condition.__init__(self, env, events, 1 if events else 0)

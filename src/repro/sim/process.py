@@ -17,12 +17,13 @@ from __future__ import annotations
 from types import GeneratorType as _GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.sim.events import URGENT, Event
+from repro.sim.events import NORMAL, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
 _PENDING = Event.PENDING
+_new_event = Event.__new__
 
 
 class Interrupt(Exception):
@@ -44,7 +45,7 @@ class InterruptError(RuntimeError):
 class Process(Event):
     """Wraps a generator and runs it as a simulation process."""
 
-    __slots__ = ("_generator", "_target", "name", "_resume_cb")
+    __slots__ = ("_generator", "_target", "_name", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator, name: str = "") -> None:
         if type(generator) is not _GeneratorType and (
@@ -61,17 +62,46 @@ class Process(Event):
         self._queued = False
         self.defused = False
         self._generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
+        #: explicit name; ``""`` names the process after its generator
+        #: on first read (most processes are never named at all)
+        self._name = name
         #: one bound method reused for every yield (a fresh bound-method
-        #: object per suspension is measurable at millions of events)
-        resume = self._resume
-        self._resume_cb = resume
-        # Bootstrap: resume the generator at the next instant.  Pulled
-        # from the environment's event pool (process churn recycles one
-        # bootstrap event per spawn), pre-succeeded and URGENT-scheduled
-        # in one step — this runs once per simulated request/job/tick.
+        #: object per suspension is measurable at millions of events).
+        #: It references the process, so it is dropped when the generator
+        #: ends: a finished process is then freed by reference counting
+        #: instead of waiting for the cyclic garbage collector.
+        resume = self._resume_cb = self._resume
+        # Bootstrap: resume the generator at the next instant, through an
+        # event pulled from the environment's pool (process churn
+        # recycles one bootstrap event per spawn), pre-succeeded and
+        # URGENT-scheduled in place — this runs once per simulated
+        # request/job/tick.
+        pool = env._event_pool
+        if pool:
+            event = pool.pop()
+            env.events_reused += 1
+        else:
+            event = _new_event(Event)
+            event.env = env
+        event.callbacks = [resume]
+        event._value = None
+        event._ok = True
+        event._processed = False
+        event._queued = True
+        event.defused = False
+        env._eid += 1
+        env._push((env._now, URGENT, env._eid, event))
         #: the event this process currently waits on (None when resuming)
-        self._target: Optional[Event] = env._init_event(resume)
+        self._target: Optional[Event] = event
+
+    @property
+    def name(self) -> str:
+        """The explicit name, else the generator's ``__name__``."""
+        return self._name or getattr(self._generator, "__name__", "process")
+
+    @name.setter
+    def name(self, value: str) -> None:
+        self._name = value
 
     # -- state ---------------------------------------------------------
     @property
@@ -120,7 +150,6 @@ class Process(Event):
         env = self.env
         env._active_process = self
         generator = self._generator
-        target: Optional[Event] = None
         while True:
             try:
                 if event._ok:
@@ -132,11 +161,20 @@ class Process(Event):
             except StopIteration as stop:
                 env._active_process = None
                 self._target = None
-                self.succeed(stop.value)
+                self._resume_cb = None
+                # Inlined self.succeed(stop.value): the process is still
+                # pending here (checked on entry), and every process ends
+                # through this branch.
+                self._ok = True
+                self._value = stop.value
+                self._queued = True
+                env._eid += 1
+                env._push((env._now, NORMAL, env._eid, self))
                 return
             except BaseException as exc:
                 env._active_process = None
                 self._target = None
+                self._resume_cb = None
                 self.fail(exc)
                 return
 
@@ -149,6 +187,7 @@ class Process(Event):
                     generator.throw(exc)
                 except BaseException as err:
                     self._target = None
+                    self._resume_cb = None
                     self.fail(err)
                     return
                 raise RuntimeError("generator swallowed the non-event error")
@@ -157,11 +196,10 @@ class Process(Event):
                 # Already settled: resume immediately without rescheduling.
                 event = next_target
                 continue
-            target = next_target
             break
 
-        target.callbacks.append(self._resume_cb)
-        self._target = target
+        next_target.callbacks.append(self._resume_cb)
+        self._target = next_target
         env._active_process = None
 
     def __repr__(self) -> str:  # pragma: no cover

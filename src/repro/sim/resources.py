@@ -125,14 +125,19 @@ class StoreGet(Event):
         self.store = store
         self.predicate = predicate
         store._getters.append(self)
-        store._dispatch()
+        if store.items:  # an empty store has nothing to hand out yet
+            store._dispatch()
 
     def cancel(self) -> None:
         """Withdraw the retrieval (e.g. when a consumer is interrupted)."""
         try:
             self.store._getters.remove(self)
         except ValueError:
-            pass
+            return
+        # A withdrawn get never settles, so its callbacks can never run.
+        # Dropping them breaks the cycle with a waiting condition (which
+        # holds this getter), so neither waits for the cyclic collector.
+        self.callbacks = []
 
 
 class Store:

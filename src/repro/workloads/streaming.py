@@ -17,6 +17,15 @@ neutral modulator (e.g. ``DiurnalModulator(base, amplitude=0.0)``)
 consumes the RNG stream exactly like the bare base and produces the
 identical arrival sequence for the same seed.
 
+The sampler calls the outermost source's :meth:`StreamSource.rate` once
+per candidate and :meth:`StreamSource.make` once per accepted arrival.
+A modulator stack does not recurse through its layers per candidate: at
+construction each modulator resolves its intensity into a constant base
+rate times a flat tuple of factor functions, inner modulator first
+(:meth:`StreamSource.rate_terms`), and intensity-neutral modulators drop
+out of the product.  The multiplication order is the nested one, so the
+resolved rate is bit-identical to the layered product.
+
 Modulators compose: ``FlashCrowdModulator(DiurnalModulator(PoissonSource(
 ...)))`` is a diurnal day with a flash crowd on top.  The intensity
 modulators multiply ``rate(t)``; :class:`RegionShiftModulator` instead
@@ -33,7 +42,8 @@ a :class:`StreamReport` of streaming aggregates (mergeable across shards).
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Optional, Sequence
+from bisect import bisect_right
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +73,12 @@ class FixedDurationModel:
         return self.duration
 
 
+#: ``rate(t) == constant * f1(t) * f2(t) * ...``, multiplied left to right
+RateTerms = Tuple[float, Tuple[Callable[[float], float], ...]]
+#: an arrival's marks: ``(function, duration, cluster)``
+Marks = Tuple[str, float, Optional[str]]
+
+
 class StreamSource:
     """A lazily-evaluated invocation source (non-homogeneous Poisson).
 
@@ -71,6 +87,12 @@ class StreamSource:
     (:meth:`make` builds the invocation at an accepted arrival time).
     :meth:`iter_invocations` — the only entry point consumers need — is
     implemented once, here, by Lewis–Shedler thinning.
+
+    The contract with the sampler: :meth:`rate` is called exactly once
+    per thinning candidate and :meth:`make` exactly once per accepted
+    arrival, both on the outermost source.  A source that defines only
+    :meth:`rate`, :meth:`peak_rate`, :attr:`rng`, :attr:`functions` and
+    :meth:`make` works as a stream and as the base of any modulator.
     """
 
     def rate(self, t: float) -> float:
@@ -93,6 +115,26 @@ class StreamSource:
         """Draw the function/duration marks for an arrival at ``t``."""
         raise NotImplementedError
 
+    def marks(self, t: float) -> Marks:
+        """:meth:`make`'s draws as a ``(function, duration, cluster)`` tuple.
+
+        A marking modulator builds its one :class:`Invocation` from its
+        base's marks instead of copying the base's invocation.  Built-in
+        sources draw marks directly; a subclass that overrides
+        :meth:`make` alone gets its marks from this generic form.
+        """
+        invocation = self.make(t)
+        return invocation.function, invocation.duration, invocation.cluster
+
+    def rate_terms(self) -> RateTerms:
+        """:meth:`rate` as a constant times factor functions (inner first).
+
+        The generic form is ``1.0 * rate(t)``, exact for any float rate;
+        sources with a constant or factored intensity override it so a
+        modulator stack resolves to one flat product.
+        """
+        return 1.0, (self.rate,)
+
     def iter_invocations(self, horizon: float) -> Iterator[Invocation]:
         """Invocations in ``[0, horizon)``, one at a time, O(1) memory."""
         if horizon <= 0.0:
@@ -101,17 +143,24 @@ class StreamSource:
         if peak <= 0.0:
             return
         rng = self.rng
+        # standard_exponential() * scale and random() * peak are the
+        # exact values exponential(scale) and uniform(0, peak) compute,
+        # from the same draws, without their argument handling.
+        exponential = rng.standard_exponential
+        uniform = rng.random
+        rate = self.rate
+        make = self.make
         scale = 1.0 / peak
         t = 0.0
         while True:
-            t += float(rng.exponential(scale))
+            t += exponential() * scale
             if t >= horizon:
                 return
             # One accept draw per candidate, unconditionally: keeps the
             # stream consumption identical between a bare source and the
             # same source under a neutral (factor == 1) modulator.
-            if float(rng.uniform(0.0, peak)) <= self.rate(t):
-                yield self.make(t)
+            if uniform() * peak <= rate(t):
+                yield make(t)
 
 
 class PoissonSource(StreamSource):
@@ -142,10 +191,16 @@ class PoissonSource(StreamSource):
         ranks = np.arange(1, len(self._functions) + 1, dtype=float)
         weights = ranks ** (-zipf_s)
         # cumulative popularity → one uniform + binary search per mark
-        self._cumulative = np.cumsum(weights / weights.sum())
+        self._cumulative: List[float] = np.cumsum(weights / weights.sum()).tolist()
+        self._last = len(self._functions) - 1
 
     def rate(self, t: float) -> float:
         return self.rate_per_second
+
+    def rate_terms(self) -> RateTerms:
+        if type(self).rate is not PoissonSource.rate:
+            return super().rate_terms()
+        return self.rate_per_second, ()
 
     def peak_rate(self, horizon: float) -> float:
         return self.rate_per_second
@@ -158,17 +213,20 @@ class PoissonSource(StreamSource):
     def functions(self) -> List[str]:
         return self._functions
 
+    def _draw(self) -> Marks:
+        index = bisect_right(self._cumulative, self._rng.random())
+        if index > self._last:
+            index = self._last
+        return self._functions[index], float(self.duration_model.sample()), None
+
+    def marks(self, t: float) -> Marks:
+        if type(self).make is not PoissonSource.make:
+            return super().marks(t)
+        return self._draw()
+
     def make(self, t: float) -> Invocation:
-        u = float(self._rng.random())
-        index = min(
-            int(np.searchsorted(self._cumulative, u, side="right")),
-            len(self._functions) - 1,
-        )
-        return Invocation(
-            time=t,
-            function=self._functions[index],
-            duration=float(self.duration_model.sample()),
-        )
+        function, duration, _ = self._draw()
+        return Invocation(t, function, duration)
 
 
 # ---------------------------------------------------------------------------
@@ -179,10 +237,25 @@ class PoissonSource(StreamSource):
 class Modulator(StreamSource):
     """Base wrapper: multiplies the wrapped source's intensity by
     :meth:`factor`, delegating marks and RNG to the base so a stack of
-    modulators still draws from one stream in one order."""
+    modulators still draws from one stream in one order.
+
+    The stack's intensity is resolved once, here: the base's
+    :meth:`rate_terms` plus this modulator's :meth:`factor` (unless
+    :attr:`scales_rate` is false), so :meth:`rate` is one flat product
+    however deep the stack.
+    """
+
+    #: False for a modulator whose :meth:`factor` is identically 1 — it
+    #: drops out of the resolved product (``x * 1.0 == x`` exactly)
+    scales_rate = True
 
     def __init__(self, base: StreamSource) -> None:
         self.base = base
+        constant, factors = base.rate_terms()
+        if self.scales_rate:
+            factors = factors + (self.factor,)
+        self._rate_constant = constant
+        self._rate_factors = factors
 
     def factor(self, t: float) -> float:
         """Intensity multiplier at time ``t`` (>= 0)."""
@@ -193,7 +266,15 @@ class Modulator(StreamSource):
         raise NotImplementedError
 
     def rate(self, t: float) -> float:
-        return self.base.rate(t) * self.factor(t)
+        rate = self._rate_constant
+        for factor in self._rate_factors:
+            rate *= factor(t)
+        return rate
+
+    def rate_terms(self) -> RateTerms:
+        if type(self).rate is not Modulator.rate:
+            return super().rate_terms()
+        return self._rate_constant, self._rate_factors
 
     def peak_rate(self, horizon: float) -> float:
         return self.base.peak_rate(horizon) * self.peak_factor(horizon)
@@ -208,6 +289,11 @@ class Modulator(StreamSource):
 
     def make(self, t: float) -> Invocation:
         return self.base.make(t)
+
+    def marks(self, t: float) -> Marks:
+        if type(self).make is not Modulator.make:
+            return super().marks(t)
+        return self.base.marks(t)
 
 
 class DiurnalModulator(Modulator):
@@ -309,6 +395,9 @@ class RegionShiftModulator(Modulator):
     placement preference (empty regions fall back to normal routing).
     """
 
+    #: intensity is untouched, so the resolved rate product skips it
+    scales_rate = False
+
     def __init__(
         self,
         base: StreamSource,
@@ -328,6 +417,10 @@ class RegionShiftModulator(Modulator):
         self.period = float(period)
         self.phase = float(phase)
         self.sharpness = float(sharpness)
+        n = len(self.regions)
+        #: region i's cosine offset, 2π i / R
+        self._offsets = [2.0 * math.pi * i / n for i in range(n)]
+        self._rng = base.rng
 
     def factor(self, t: float) -> float:
         return 1.0
@@ -336,18 +429,16 @@ class RegionShiftModulator(Modulator):
         return 1.0
 
     def weights(self, t: float) -> List[float]:
-        n = len(self.regions)
         angle = 2.0 * math.pi * (t + self.phase) / self.period
-        raw = [
-            max(0.0, 1.0 + self.sharpness * math.cos(angle - 2.0 * math.pi * i / n))
-            for i in range(n)
-        ]
-        return raw if sum(raw) > 0.0 else [1.0] * n
+        sharpness = self.sharpness
+        cos = math.cos
+        raw = [max(0.0, 1.0 + sharpness * cos(angle - offset)) for offset in self._offsets]
+        return raw if sum(raw) > 0.0 else [1.0] * len(raw)
 
-    def make(self, t: float) -> Invocation:
-        invocation = self.base.make(t)
+    def _tag(self, t: float) -> Marks:
+        function, duration, _ = self.base.marks(t)
         weights = self.weights(t)
-        threshold = float(self.rng.random()) * sum(weights)
+        threshold = self._rng.random() * sum(weights)
         acc = 0.0
         region = self.regions[-1]
         for name, weight in zip(self.regions, weights):
@@ -355,12 +446,16 @@ class RegionShiftModulator(Modulator):
             if threshold <= acc:
                 region = name
                 break
-        return Invocation(
-            time=invocation.time,
-            function=invocation.function,
-            duration=invocation.duration,
-            cluster=region,
-        )
+        return function, duration, region
+
+    def marks(self, t: float) -> Marks:
+        if type(self).make is not RegionShiftModulator.make:
+            return StreamSource.marks(self, t)
+        return self._tag(t)
+
+    def make(self, t: float) -> Invocation:
+        function, duration, region = self._tag(t)
+        return Invocation(t, function, duration, region)
 
 
 def build_stream_source(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import os
 
 import numpy as np
@@ -29,6 +30,29 @@ def _reset_counters():
 @pytest.fixture
 def env() -> Environment:
     return Environment()
+
+
+@pytest.fixture
+def cycles_of():
+    """Cyclic GC off for the test; yields ``cycles_of(env)``, the objects
+    of *env* (events, processes) that only the cyclic collector could
+    free — what a run leaves behind in reference cycles."""
+    gc.collect()
+    gc.disable()
+
+    def cycles_of(env):
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+            return [obj for obj in gc.garbage if getattr(obj, "env", None) is env]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    try:
+        yield cycles_of
+    finally:
+        gc.enable()
 
 
 @pytest.fixture

@@ -75,6 +75,19 @@ def test_missed_pings_mark_invoker_gone(env):
     assert any(e.kind == "invoker_lost" for e in controller.events)
 
 
+def test_invoker_lost_reports_stranded_without_creating_its_topic(env):
+    """The loss event counts the crashed invoker's unpulled messages by
+    peeking: a topic nobody ever published to stays uncreated."""
+    broker, controller, config = build_stack(env)
+    from repro.faas.messages import PingMessage
+
+    broker.publish("health", PingMessage("crashed", "register", 0.0, node="n0000"))
+    env.run(until=30)
+    lost = [e for e in controller.events if e.kind == "invoker_lost"]
+    assert [e.detail for e in lost] == [{"stranded": 0}]
+    assert controller.invoker_topic("crashed") not in broker.topic_names()
+
+
 def test_invoke_without_function_fails(env):
     broker, controller, config = build_stack(env)
 

@@ -62,6 +62,16 @@ def test_least_loaded_tie_breaks_by_name(broker):
     assert LeastLoaded().choose("f", HEALTHY, broker) == "inv-1"
 
 
+def test_least_loaded_routing_creates_no_topics(broker):
+    """Routing observes topic depths; it must not materialize a topic
+    for every invoker it asks about."""
+    broker.topic("invoker-inv-2").put("m1")
+    before = broker.topic_names()
+    for _ in range(3):
+        assert LeastLoaded().choose("f", HEALTHY, broker) == "inv-1"
+    assert broker.topic_names() == before == ["invoker-inv-2"]
+
+
 def test_controller_accepts_custom_balancer(env):
     from repro.faas import Controller, FaaSConfig
 

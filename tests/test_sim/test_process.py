@@ -215,3 +215,21 @@ def test_is_alive_transitions(env):
     assert process.is_alive
     env.run()
     assert not process.is_alive
+
+
+def test_finished_processes_leave_no_reference_cycles(env, cycles_of):
+    """A finished process (and its generator) is freed by reference
+    counting alone: nothing waits for the cyclic garbage collector."""
+
+    def child(env):
+        yield env.timeout(1)
+        return "ok"
+
+    def parent(env):
+        value = yield env.process(child(env))
+        assert value == "ok"
+
+    for _ in range(50):
+        env.process(parent(env))
+    env.run()
+    assert cycles_of(env) == []

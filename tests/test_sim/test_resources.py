@@ -210,6 +210,34 @@ def test_store_cancelled_getter_skipped(env):
     assert got == ["item"]
 
 
+def test_pull_from_two_stores_leaves_no_reference_cycles(env, cycles_of):
+    """The invoker's pull shape — wait on any of two stores' gets, then
+    withdraw the get that did not fire — creates no cyclic garbage."""
+    first, second = Store(env), Store(env)
+    got = []
+
+    def puller(env):
+        for _ in range(20):
+            getters = [first.get(), second.get()]
+            yield env.any_of(getters)
+            for getter in getters:
+                if getter.triggered:
+                    got.append(getter.value)
+                else:
+                    getter.cancel()
+
+    def producer(env):
+        for i in range(20):
+            yield env.timeout(1)
+            (first if i % 2 else second).put(i)
+
+    env.process(puller(env))
+    env.process(producer(env))
+    env.run()
+    assert got == list(range(20))
+    assert cycles_of(env) == []
+
+
 def test_peek_all_does_not_consume(env):
     store = Store(env)
     store.put(1)

@@ -16,15 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.faas.activation import ActivationStatus
-from repro.workloads.faas_trace import PoissonInvocationProcess
+from repro.workloads.faas_trace import Invocation, PoissonInvocationProcess
 from repro.workloads.streaming import (
     BurstModulator,
     DiurnalModulator,
     FixedDurationModel,
     FlashCrowdModulator,
+    Modulator,
     PoissonSource,
     RegionShiftModulator,
     StreamReport,
+    StreamSource,
     build_stream_source,
 )
 
@@ -312,6 +314,289 @@ def test_build_stream_source_composition_order():
 def test_build_stream_source_defaults_to_bare_poisson():
     source = build_stream_source(np.random.default_rng(1), ["f"], 2.0)
     assert type(source) is PoissonSource
+
+
+# ---------------------------------------------------------------------------
+# the flat sampler against the layered reference
+# ---------------------------------------------------------------------------
+#
+# The reference walks the stack layer by layer: every candidate
+# multiplies the base rate by each layer's factor, inner first, every
+# arrival builds one invocation per marking layer, and draws go through
+# exponential(scale), uniform(0, peak) and searchsorted.  The flat
+# sampler must reproduce its arrivals exactly and leave the generator
+# in the same state.
+
+
+def _nested_rate(source, t):
+    if isinstance(source, Modulator):
+        return _nested_rate(source.base, t) * source.factor(t)
+    return source.rate(t)
+
+
+def _reference_weights(source, t):
+    n = len(source.regions)
+    angle = 2.0 * math.pi * (t + source.phase) / source.period
+    raw = [
+        max(0.0, 1.0 + source.sharpness * math.cos(angle - 2.0 * math.pi * i / n))
+        for i in range(n)
+    ]
+    return raw if sum(raw) > 0.0 else [1.0] * n
+
+
+def _nested_make(source, t, zipf_s):
+    make = type(source).make
+    if make is RegionShiftModulator.make:
+        invocation = _nested_make(source.base, t, zipf_s)
+        weights = _reference_weights(source, t)
+        threshold = float(source.rng.random()) * sum(weights)
+        acc = 0.0
+        region = source.regions[-1]
+        for name, weight in zip(source.regions, weights):
+            acc += weight
+            if threshold <= acc:
+                region = name
+                break
+        return Invocation(
+            time=invocation.time,
+            function=invocation.function,
+            duration=invocation.duration,
+            cluster=region,
+        )
+    if make is Modulator.make:
+        return _nested_make(source.base, t, zipf_s)
+    if make is PoissonSource.make:
+        functions = source.functions
+        ranks = np.arange(1, len(functions) + 1, dtype=float)
+        popularity = ranks ** (-zipf_s)
+        cumulative = np.cumsum(popularity / popularity.sum())
+        u = float(source.rng.random())
+        index = min(
+            int(np.searchsorted(cumulative, u, side="right")), len(functions) - 1
+        )
+        return Invocation(
+            time=t,
+            function=functions[index],
+            duration=float(source.duration_model.sample()),
+        )
+    return source.make(t)
+
+
+def _reference_invocations(source, horizon, zipf_s=1.1):
+    out = []
+    if horizon <= 0.0:
+        return out
+    peak = float(source.peak_rate(horizon))
+    if peak <= 0.0:
+        return out
+    rng = source.rng
+    scale = 1.0 / peak
+    t = 0.0
+    while True:
+        t += float(rng.exponential(scale))
+        if t >= horizon:
+            return out
+        if float(rng.uniform(0.0, peak)) <= _nested_rate(source, t):
+            out.append(_nested_make(source, t, zipf_s))
+
+
+_LAYER = st.one_of(
+    st.tuples(
+        st.just("diurnal"),
+        st.floats(0.0, 1.0),
+        st.floats(1.0, 500.0),
+        st.floats(-300.0, 300.0),
+    ),
+    st.tuples(
+        st.just("burst"),
+        st.floats(-20.0, 150.0),
+        st.floats(0.5, 100.0),
+        st.floats(0.0, 4.0),
+    ),
+    st.tuples(
+        st.just("flash"),
+        st.floats(-20.0, 150.0),
+        st.floats(0.0, 9.0),
+        st.tuples(st.floats(0.1, 60.0), st.floats(0.1, 200.0)),
+    ),
+    st.tuples(
+        st.just("region"),
+        st.lists(st.sampled_from("abcdefgh"), min_size=1, max_size=7),
+        st.floats(1.0, 500.0),
+        st.tuples(st.floats(-300.0, 300.0), st.floats(0.0, 3.0)),
+    ),
+)
+
+
+def _wrap(source, layer):
+    kind, a, b, c = layer
+    if kind == "diurnal":
+        return DiurnalModulator(source, amplitude=a, period=b, phase=c)
+    if kind == "burst":
+        return BurstModulator(source, start=a, duration=b, factor=c)
+    if kind == "flash":
+        return FlashCrowdModulator(source, at=a, magnitude=b, rise=c[0], decay=c[1])
+    return RegionShiftModulator(source, a, period=b, phase=c[0], sharpness=c[1])
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rate=st.floats(0.05, 4.0),
+    functions=st.integers(1, 12),
+    zipf_s=st.floats(0.5, 2.0),
+    layers=st.lists(_LAYER, max_size=5),
+    horizon=st.floats(0.0, 150.0),
+)
+@settings(max_examples=120, deadline=None)
+def test_flat_sampler_matches_layered_reference(seed, rate, functions, zipf_s, layers, horizon):
+    names = [f"fn{i}" for i in range(functions)]
+
+    def build():
+        rng = np.random.default_rng(seed)
+        source = PoissonSource(rng, names, rate, zipf_s=zipf_s)
+        for layer in layers:
+            source = _wrap(source, layer)
+        return source, rng
+
+    flat, flat_rng = build()
+    layered, layered_rng = build()
+    assert list(flat.iter_invocations(horizon)) == _reference_invocations(
+        layered, horizon, zipf_s
+    )
+    assert flat_rng.bit_generator.state == layered_rng.bit_generator.state
+    # the resolved rate and the region weights are the layered ones, bit
+    # for bit
+    for t in (0.0, horizon / 3.0, horizon):
+        assert flat.rate(t) == _nested_rate(layered, t)
+        layer = flat
+        while isinstance(layer, Modulator):
+            if isinstance(layer, RegionShiftModulator):
+                assert layer.weights(t) == _reference_weights(layer, t)
+            layer = layer.base
+
+
+class _SquareWave(StreamSource):
+    """A custom source written against the bare contract: intensity
+    (``rate``/``peak_rate``), RNG and ``make`` — no marks, no rate terms."""
+
+    def __init__(self, rng, period=20.0):
+        self._rng = rng
+        self.period = period
+
+    @property
+    def rng(self):
+        return self._rng
+
+    @property
+    def functions(self):
+        return ["on", "off"]
+
+    def rate(self, t):
+        return 3.0 if (t // self.period) % 2 == 0 else 0.5
+
+    def peak_rate(self, horizon):
+        return 3.0
+
+    def make(self, t):
+        function = self.functions[int(self._rng.random() * 2)]
+        return Invocation(t, function, 0.1)
+
+
+@pytest.mark.parametrize("wrap", ["bare", "modulated"])
+def test_custom_source_with_bare_contract(wrap):
+    def build():
+        rng = np.random.default_rng(17)
+        source = _SquareWave(rng)
+        if wrap == "modulated":
+            source = DiurnalModulator(source, amplitude=0.4, period=90.0)
+            source = RegionShiftModulator(source, ["a", "b"], period=60.0)
+            source = FlashCrowdModulator(source, at=30.0, magnitude=2.0, rise=5.0, decay=20.0)
+        return source, rng
+
+    source, rng = build()
+    reference, reference_rng = build()
+    invocations = list(source.iter_invocations(200.0))
+    assert invocations == _reference_invocations(reference, 200.0)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert invocations and {i.function for i in invocations} <= {"on", "off"}
+    if wrap == "modulated":
+        assert {i.cluster for i in invocations} == {"a", "b"}
+    # the square wave shows through: the "high" half-periods get ~6x the
+    # arrivals of the "low" ones
+    high = sum(1 for i in invocations if (i.time // 20.0) % 2 == 0)
+    assert high > 2 * (len(invocations) - high)
+
+
+def test_overridden_make_and_rate_survive_wrapping():
+    """A subclass that re-marks in ``make`` or reshapes ``rate`` keeps
+    its behaviour under modulators: the flat rate product and the marks
+    pass-through fall back to the overridden methods."""
+
+    class Doubled(PoissonSource):
+        def rate(self, t):
+            return 2.0 * super().rate(t)
+
+        def peak_rate(self, horizon):
+            return 2.0 * super().peak_rate(horizon)
+
+        def make(self, t):
+            invocation = super().make(t)
+            return Invocation(t, invocation.function.upper(), invocation.duration)
+
+    class Relabel(DiurnalModulator):
+        def make(self, t):
+            invocation = self.base.make(t)
+            return Invocation(t, invocation.function + "!", invocation.duration)
+
+    def build():
+        rng = np.random.default_rng(11)
+        source = Doubled(rng, ["f", "g"], 1.0, duration_model=FixedDurationModel(0.1))
+        source = Relabel(source, amplitude=0.3, period=50.0)
+        source = RegionShiftModulator(source, ["a", "b"], period=80.0)
+        return source, rng
+
+    source, rng = build()
+    reference, reference_rng = build()
+    invocations = list(source.iter_invocations(100.0))
+    assert invocations == _reference_invocations(reference, 100.0)
+    assert rng.bit_generator.state == reference_rng.bit_generator.state
+    assert {i.function for i in invocations} == {"F!", "G!"}
+    assert source.rate(10.0) == _nested_rate(reference, 10.0)
+    assert 150 < len(invocations) < 250   # ~2/s over 100 s, not ~1/s
+
+
+def test_rate_is_called_once_per_candidate(monkeypatch):
+    """The sampler's contract: one ``rate`` call per thinning candidate
+    and one ``make`` call per arrival, counted over every class of the
+    stack — a modulator stack does not recurse through its layers."""
+    import repro.workloads.streaming as streaming
+
+    calls = {"rate": 0, "make": 0}
+
+    def counted(cls, name):
+        original = cls.__dict__[name]
+
+        def wrapper(self, t):
+            calls[name] += 1
+            return original(self, t)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls in (streaming.PoissonSource, streaming.Modulator, streaming.RegionShiftModulator):
+        for name in ("rate", "make"):
+            if name in cls.__dict__:
+                counted(cls, name)
+
+    source = build_stream_source(
+        np.random.default_rng(3), FUNCTIONS, 5.0,
+        diurnal_amplitude=0.5, diurnal_period=200.0, burst_at=100.0,
+        flash_at=50.0, regions=["a", "b"], region_period=100.0,
+    )
+    peak = source.peak_rate(300.0)
+    arrivals = list(source.iter_invocations(300.0))
+    assert calls["make"] == len(arrivals) > 0
+    # candidates ~ Poisson(peak * horizon); rate is asked once for each
+    assert calls["rate"] == pytest.approx(peak * 300.0, rel=0.05)
 
 
 # ---------------------------------------------------------------------------
