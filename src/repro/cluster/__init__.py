@@ -27,6 +27,7 @@ from repro.cluster.job import (
 from repro.cluster.node import Node, NodeState
 from repro.cluster.partition import Partition, PreemptMode
 from repro.cluster.backfill import BackfillScheduler, SchedulerConfig
+from repro.cluster.pending import PendingQueue
 from repro.cluster.slurmctld import SlurmConfig, SlurmController
 from repro.cluster.slurmd import NodeDaemon
 from repro.cluster.reservations import Reservation
@@ -43,6 +44,7 @@ __all__ = [
     "BackfillScheduler",
     "Federation",
     "PartitionAccounting",
+    "PendingQueue",
     "merge_accounts",
     "render_sacct",
     "summarize",

@@ -1,9 +1,12 @@
 """Priority-tier scheduling with EASY-style backfill.
 
-The planner is a pure function over controller state: given the clock, the
-pending queue, and node/running-job status, it returns *decisions* — jobs to
-start now (with granted time limits) and preemptions to issue.  The
-controller (:mod:`repro.cluster.slurmctld`) owns all side effects.
+The planner is a pure function of the clock, the controller's
+:class:`~repro.cluster.pending.PendingQueue`, the nodes, the partitions and
+the ``committed`` map: it returns *decisions* — jobs to start now (with
+granted time limits) and preemptions to issue.  The controller
+(:mod:`repro.cluster.slurmctld`) owns all side effects and keeps the queue's
+indices current, so a pass only visits the jobs that may start now plus the
+per-node earliest begin times of pinned jobs; it never scans the queue.
 
 Semantics reproduced from the paper's Slurm configuration (Sec. III-D):
 
@@ -27,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.job import Job
 from repro.cluster.node import Node, NodeState
 from repro.cluster.partition import Partition
+from repro.cluster.pending import PendingQueue, ready_time
 
 
 @dataclass
@@ -105,10 +109,47 @@ class SchedulingPlan:
     preemptions: List[PreemptDecision] = field(default_factory=list)
     #: node name -> job id: nodes to hold for a job awaiting preemptions
     commits: Dict[str, int] = field(default_factory=dict)
-    #: node name -> earliest known higher-tier claim (diagnostics/tests)
-    reservations: Dict[str, float] = field(default_factory=dict)
     #: tier-0 jobs examined (budget accounting, diagnostics)
     examined_tier0: int = 0
+    #: ``_claim_map`` arguments, captured at the end of Phase A
+    _claim_inputs: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _reservations: Optional[Dict[str, float]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def reservations(self) -> Dict[str, float]:
+        """node name -> earliest known higher-tier claim (diagnostics/tests).
+
+        Derived on first read: only passes that place tier-0 jobs need it.
+        """
+        if self._reservations is None:
+            self._reservations = _claim_map(*self._claim_inputs) if self._claim_inputs else {}
+        return self._reservations
+
+
+def _free_nodes(nodes: Dict[str, Node], committed: Dict[str, int]) -> Dict[str, Node]:
+    """Idle nodes not held for a waiting preemptor."""
+    idle = NodeState.IDLE
+    return {name: n for name, n in nodes.items() if n.state is idle and name not in committed}
+
+
+def _claim_map(
+    now: float, earliest: Dict[str, float], reserved: Dict[str, float]
+) -> Dict[str, float]:
+    """node -> earliest instant (``>= now``) a higher-tier job needs it.
+
+    Pending pinned jobs announce their begin times as soon as they are
+    submitted (the scheduler knows the queue), so they bound tier-0
+    windows even before they become eligible; blocked jobs add the
+    reservations in *reserved*.
+    """
+    claims = {name: at if at > now else now for name, at in earliest.items()}
+    for name, when in reserved.items():
+        prev = claims.get(name)
+        if prev is None or when < prev:
+            claims[name] = when
+    return claims
 
 
 class BackfillScheduler:
@@ -127,7 +168,7 @@ class BackfillScheduler:
     def plan(
         self,
         now: float,
-        pending: Sequence[Job],
+        pending: Union[PendingQueue, Sequence[Job]],
         nodes: Dict[str, Node],
         partitions: Dict[str, Partition],
         committed: Dict[str, int],
@@ -136,61 +177,36 @@ class BackfillScheduler:
     ) -> SchedulingPlan:
         """Compute one pass.
 
-        ``committed`` maps node name → job id for nodes whose pilots are
-        already being preempted on behalf of a waiting job; such nodes are
-        untouchable by this pass (except by that waiting job itself).
+        ``pending`` is the controller's :class:`PendingQueue`; a plain
+        sequence of jobs is indexed into one first.  ``committed`` maps
+        node name → job id for nodes whose pilots are already being
+        preempted on behalf of a waiting job; such nodes are untouchable
+        by this pass (except by that waiting job itself).
         """
+        if not isinstance(pending, PendingQueue):
+            pending = PendingQueue(partitions, [j for j in pending if j.is_pending])
+        pending.promote(now)
         plan = SchedulingPlan()
         cfg = self.config
 
-        # -- classify pending jobs by tier ------------------------------
-        def tier_of(job: Job) -> int:
-            return partitions[job.spec.partition].priority_tier
-
-        eligible = [j for j in pending if j.is_pending]
-        tiers = sorted({tier_of(j) for j in eligible}, reverse=True)
-
-        # -- availability maps -----------------------------------------
         # free_now: nodes idle and not committed to a waiting preemptor
-        free_now: Dict[str, Node] = {
-            name: n
-            for name, n in nodes.items()
-            if n.state is NodeState.IDLE and name not in committed
-        }
-        # claims[node] = earliest future instant a higher-tier job needs it
-        claims: Dict[str, float] = {}
+        # (built on first use: most passes have nothing ready to place)
+        free_now: Optional[Dict[str, Node]] = None
+        # Claims on nodes, beyond the begin times that pending pinned jobs
+        # announce (``pending.earliest``): the reservations of blocked jobs.
+        reserved: Dict[str, float] = {}
 
         def claim(node_name: str, when: float) -> None:
-            prev = claims.get(node_name)
+            prev = reserved.get(node_name)
             if prev is None or when < prev:
-                claims[node_name] = when
-
-        # Future pinned jobs announce their begin times as soon as they are
-        # submitted (the scheduler knows the queue) — these bound tier-0
-        # windows even before the jobs become eligible.
-        for job in pending:
-            if not job.is_pending:
-                continue
-            if tier_of(job) == 0:
-                continue
-            if job.spec.required_nodes:
-                start_at = max(now, job.spec.begin_time if job.spec.begin_time is not None else job.submit_time)
-                for node_name in job.spec.required_nodes[: job.spec.num_nodes]:
-                    claim(node_name, start_at)
+                reserved[node_name] = when
 
         # -- Phase A: higher tiers, highest first ------------------------
         reservations_left = cfg.max_reservations
-        for tier in tiers:
-            if tier == 0:
-                continue
-            tier_jobs = sorted(
-                (j for j in eligible if tier_of(j) == tier),
-                key=lambda j: (-j.spec.priority, j.submit_time, j.job_id),
-            )
-            for job in tier_jobs:
-                begin = job.spec.begin_time if job.spec.begin_time is not None else job.submit_time
-                if begin > now:
-                    continue  # not yet eligible; its claim is already mapped
+        for tier in pending.ready_tiers():
+            for job in pending.ready(tier):
+                if free_now is None:
+                    free_now = _free_nodes(nodes, committed)
                 placed = self._try_start_or_preempt(
                     now, job, tier, nodes, partitions, free_now, committed, plan
                 )
@@ -201,16 +217,20 @@ class BackfillScheduler:
                     reservations_left -= 1
                     self._reserve(now, job, nodes, partitions, committed, claim)
 
+        plan._claim_inputs = (now, dict(pending.earliest), reserved)
+
         # -- Phase B: tier-0 backfill ------------------------------------
         if not include_tier0:
-            plan.reservations = dict(claims)
             return plan
+        tier0_jobs = pending.ready(0)
+        if not tier0_jobs:
+            return plan
+        if free_now is None:
+            free_now = _free_nodes(nodes, committed)
+        # claims[node] = earliest future instant a higher-tier job needs it
+        claims = plan.reservations
         fixed_budget = cfg.max_fixed_starts_per_pass
         flex_budget = cfg.max_flex_starts_per_pass if include_flexible else 0
-        tier0_jobs = sorted(
-            (j for j in eligible if tier_of(j) == 0),
-            key=lambda j: (-j.spec.priority, j.submit_time, j.job_id),
-        )
         # window(node) = time until the earliest higher-tier claim
         for job in tier0_jobs:
             if not free_now:
@@ -231,8 +251,6 @@ class BackfillScheduler:
                 flex_budget -= 1
             else:
                 fixed_budget -= 1
-
-        plan.reservations = dict(claims)
         return plan
 
     # ------------------------------------------------------------------
@@ -372,7 +390,7 @@ class BackfillScheduler:
                     if vpart.preemptible:
                         end = now  # preemptable: effectively free now
                     start = max(start, end)
-            start = max(start, job.spec.begin_time if job.spec.begin_time is not None else job.submit_time)
+            start = max(start, ready_time(job))
             for name in names:
                 claim(name, start)
             return
@@ -391,7 +409,7 @@ class BackfillScheduler:
         if len(frees) < want:
             return
         shadow = max(t for t, _ in frees[:want])
-        shadow = max(shadow, job.spec.begin_time if job.spec.begin_time is not None else job.submit_time)
+        shadow = max(shadow, ready_time(job))
         for _, name in frees[:want]:
             claim(name, shadow)
 

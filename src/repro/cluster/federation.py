@@ -93,7 +93,7 @@ class Federation:
         return {cid: member.idle_node_names() for cid, member in self.members()}
 
     def idle_node_count(self) -> int:
-        return sum(len(names) for names in self.idle_node_names().values())
+        return sum(member.idle_node_count() for member in self)
 
     # ------------------------------------------------------------------
     # merged accounting

@@ -73,13 +73,15 @@ def sinfo(
     whisk: List[str] = []
     busy: List[str] = []
     unavailable: List[str] = []
-    for name in sorted(controller.nodes):
+    nodes = controller.nodes
+    idle_state, allocated_state = NodeState.IDLE, NodeState.ALLOCATED
+    for name in sorted(nodes):
         if name in exclude:
             continue
-        node = controller.nodes[name]
-        if node.state is NodeState.IDLE:
+        node = nodes[name]
+        if node.state is idle_state:
             idle.append(name)
-        elif node.state is NodeState.ALLOCATED:
+        elif node.state is allocated_state:
             assert node.job is not None
             if node.job.spec.partition == whisk_partition:
                 whisk.append(name)

@@ -17,6 +17,7 @@ from repro.cluster.backfill import BackfillScheduler, SchedulerConfig, Schedulin
 from repro.cluster.job import Job, JobSpec, JobState
 from repro.cluster.node import Node, NodeState
 from repro.cluster.partition import Partition, default_partitions
+from repro.cluster.pending import PendingQueue
 from repro.cluster.slurmd import JobExecution, NodeDaemon
 from repro.sim import Environment
 
@@ -76,7 +77,8 @@ class SlurmController:
         self.scheduler = BackfillScheduler(self.config.scheduler, rng=rng)
         self.daemon = NodeDaemon(env, kill_wait=self.config.kill_wait)
 
-        self.pending: List[Job] = []
+        #: pending jobs in submission order, indexed for the planner
+        self.pending = PendingQueue(self.partitions)
         self.running: Dict[int, JobExecution] = {}
         self.completed: List[Job] = []
         #: node name -> job id of the waiting job the node is being freed for
@@ -105,7 +107,7 @@ class SlurmController:
             raise ValueError(f"unknown partition {spec.partition!r}")
         partition.validate_time_limit(spec.time_limit)
         job = Job(spec, submit_time=self.env.now)
-        self.pending.append(job)
+        self.pending.add(job)
         self.request_pass()
         return job
 
@@ -143,6 +145,10 @@ class SlurmController:
 
     def idle_node_names(self) -> List[str]:
         return sorted(n.name for n in self.nodes.values() if n.state is NodeState.IDLE)
+
+    def idle_node_count(self) -> int:
+        idle = NodeState.IDLE
+        return sum(1 for n in self.nodes.values() if n.state is idle)
 
     def nodes_running_partition(self, partition: str) -> List[str]:
         return sorted(

@@ -132,7 +132,7 @@ class PolicyJobManager:
             running_pilots=len(
                 slurm.running_jobs(partition=self.config.partition)
             ),
-            idle_nodes=len(slurm.idle_node_names()),
+            idle_nodes=slurm.idle_node_count(),
             total_nodes=slurm.config.num_nodes,
             healthy_invokers=healthy,
             inflight_activations=inflight,

@@ -20,29 +20,33 @@ Two roles:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.cluster.job import JobSpec
 from repro.workloads.distributions import JobPopulationModel, LeadTimeModel
-from repro.workloads.idleness import IdlenessTrace
+from repro.workloads.idleness import IdlenessTrace, IdlePeriod
 
 
 def busy_intervals(
-    trace: IdlenessTrace, node: str
+    trace: IdlenessTrace,
+    node: str,
+    by_node: Optional[Dict[str, List[IdlePeriod]]] = None,
 ) -> List[Tuple[float, float]]:
-    """Complement of a node's idle periods over the trace horizon."""
-    idle = sorted(
-        ((p.start, p.end) for p in trace.periods if p.node == node),
-        key=lambda iv: iv[0],
-    )
+    """Complement of a node's idle periods over the trace horizon.
+
+    *by_node* is ``trace.periods_by_node()``; a caller asking for many
+    nodes passes it in, so the trace is grouped once, not per node.
+    """
+    if by_node is None:
+        by_node = trace.periods_by_node()
     busy: List[Tuple[float, float]] = []
     cursor = 0.0
-    for start, end in idle:
-        if start > cursor:
-            busy.append((cursor, start))
-        cursor = max(cursor, end)
+    for period in by_node.get(node, ()):
+        if period.start > cursor:
+            busy.append((cursor, period.start))
+        cursor = max(cursor, period.end)
     if cursor < trace.horizon:
         busy.append((cursor, trace.horizon))
     return busy
@@ -137,10 +141,9 @@ def trace_to_prime_jobs(
     jobs: List[PrimeJob] = []
     by_node = trace.periods_by_node()
     for node in trace.node_names:
-        node_busy = busy_intervals(trace, node)
+        node_busy = busy_intervals(trace, node, by_node)
         if not node_busy:
             continue
-        # Precompute the start of the next busy segment for limit capping.
         for index, (seg_start, seg_end) in enumerate(node_busy):
             pieces = _segment_busy_interval(seg_start, seg_end, population, rng)
             for piece_index, (p_start, p_end) in enumerate(pieces):
@@ -160,7 +163,6 @@ def trace_to_prime_jobs(
                     metadata={"trace": True},
                 )
                 jobs.append(PrimeJob(spec=spec, submit_time=submit))
-    _ = by_node
     return PrimeWorkload(jobs=jobs)
 
 

@@ -10,7 +10,7 @@ from repro.workloads.hpc_trace import (
     busy_intervals,
     trace_to_prime_jobs,
 )
-from repro.workloads.idleness import IdlenessTrace, IdlePeriod
+from repro.workloads.idleness import IdlenessTrace, IdlenessTraceGenerator, IdlePeriod
 
 
 def small_trace():
@@ -38,6 +38,27 @@ def test_busy_intervals_fully_idle_node():
         horizon=100.0, num_nodes=1, periods=[IdlePeriod("n0000", 0.0, 100.0)]
     )
     assert busy_intervals(trace, "n0000") == []
+
+
+def test_busy_intervals_from_grouped_periods_match_a_per_node_scan(rng):
+    """Grouping the trace once gives the complement a per-node scan of
+    every period gives, including unsorted and overlapping periods."""
+    trace = IdlenessTraceGenerator(rng, num_nodes=12).generate(6 * 3600.0)
+    trace.periods.append(IdlePeriod("n0003", 10.0, 20.0))
+    trace.periods.append(IdlePeriod("n0003", 15.0, 40.0))
+    by_node = trace.periods_by_node()
+    for node in trace.node_names:
+        idle = sorted(((p.start, p.end) for p in trace.periods if p.node == node),
+                      key=lambda iv: iv[0])
+        expected, cursor = [], 0.0
+        for start, end in idle:
+            if start > cursor:
+                expected.append((cursor, start))
+            cursor = max(cursor, end)
+        if cursor < trace.horizon:
+            expected.append((cursor, trace.horizon))
+        assert busy_intervals(trace, node, by_node) == expected
+        assert busy_intervals(trace, node) == expected
 
 
 def test_trace_to_prime_jobs_pins_and_anchors(rng):
